@@ -6,10 +6,11 @@ the last line of stdout, one JSON object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
-With `--trace 0` the metrics are the end-to-end ones (host wall time, set-up
-time, peak RSS, simulated latency and throughput, replica agreement). With
-`--trace 1` they are the per-layer ones, taken from a replay of the same
-scenario whose actors are wrapped in timing actors.
+With `--trace 0` the metrics are the end-to-end ones (host wall and set-up
+time scaled to a reference host's speed, peak RSS, simulated latency and
+throughput, replica agreement). With `--trace 1` they are the per-layer
+ones, taken from a replay of the same scenario whose actors are wrapped in
+timing actors.
 
 Every measurement runs in a fresh process of the `orthrus-perfbench` worker
 (built from `perfbench/Cargo.toml`), one scenario at a time. See
@@ -29,11 +30,12 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("wan_mixed", "lan_payments_hot", "lan_contracts_recover")
-# Set-up is cheap and noisy, so each run repeats it for this long (and at
-# least ten times) and reports the median.
-SETUP_SECONDS = 2
 # Fewest timed runs per invocation, however short `--seconds` is.
 MIN_RUNS = 3
+# Seconds one pass of the worker's calibration kernel takes on the reference
+# host (a 2-core 2.1 GHz Xeon VM, quiet). End-to-end wall metrics are scaled
+# to that host's speed; see `scaled_runs`.
+CAL_REFERENCE_S = 0.3
 CHILD_TIMEOUT_S = 150
 BUILD_TIMEOUT_S = 850
 # Keys whose values are host measurements; every other key a worker prints
@@ -79,7 +81,12 @@ class Worker:
         self.env = dict(os.environ, ORTHRUS_SWEEP_THREADS=str(cores()))
 
     def __call__(self, mode, *extra):
-        command = [self.binary, mode, self.spec, str(self.seed), *map(str, extra)]
+        return self.spawn(mode, [self.binary, mode, self.spec, str(self.seed), *map(str, extra)])
+
+    def calibrate(self):
+        return self.spawn("calibrate", [self.binary, "calibrate"])["cal_s"]
+
+    def spawn(self, mode, command):
         try:
             done = subprocess.run(command, capture_output=True, text=True,
                                   env=self.env, timeout=CHILD_TIMEOUT_S)
@@ -121,10 +128,34 @@ def timed_loop(seconds, body):
         count += 1
 
 
+def scaled_runs(worker, seconds):
+    """Time `setup` and then `run` until `seconds` have passed, with the
+    calibration kernel timed before the first pair and after every pair.
+
+    The host's speed drifts by tens of percent over seconds to minutes, and
+    the kernel slows with it. Each pair's times are multiplied by
+    CAL_REFERENCE_S over the mean of the two kernel times around it, which
+    gives the times they would have taken on the reference host. The kernel
+    uses no code of the repository, so a change to the program moves a
+    scaled time by the same share as the raw one. Returns the runs, their
+    scaled wall times, every scaled set-up time and the kernel times.
+    """
+    setups, runs, cal = [], [], [worker.calibrate()]
+
+    def body():
+        setups.append(worker("setup"))
+        runs.append(worker("run"))
+        cal.append(worker.calibrate())
+
+    timed_loop(seconds, body)
+    scales = [2 * CAL_REFERENCE_S / (before + after) for before, after in zip(cal, cal[1:])]
+    walls = [run["wall_s"] * scale for run, scale in zip(runs, scales)]
+    setup_s = [t * scale for setup, scale in zip(setups, scales) for t in setup["setup_s"]]
+    return runs, walls, setup_s, cal
+
+
 def end_to_end(worker, seconds, gate):
-    setup = worker("setup", SETUP_SECONDS)
-    runs = []
-    timed_loop(seconds, lambda: runs.append(worker("run")))
+    runs, walls, setup_s, cal = scaled_runs(worker, seconds)
     replay = worker("replay", 0)
 
     first = runs[0]
@@ -135,11 +166,11 @@ def end_to_end(worker, seconds, gate):
     submitted = first["submitted"]
     never_confirmed = submitted - first["confirmed"]
     failed_tx = never_confirmed + replay["divergent_tx"]
-    walls = [run["wall_s"] for run in runs]
     metrics = {
         "wall_s": (statistics.median(walls), "s"),
-        "confirmed_tx_per_s": (statistics.median(r["confirmed"] / r["wall_s"] for r in runs), "1/s"),
-        "setup_s": (statistics.median(setup["setup_s"]), "s"),
+        "confirmed_tx_per_s": (
+            statistics.median(r["confirmed"] / wall for r, wall in zip(runs, walls)), "1/s"),
+        "setup_s": (statistics.median(setup_s), "s"),
         "peak_rss_mb": (statistics.median(r["vm_hwm_kb"] for r in runs) / 1024, "MB"),
         "sim_latency_p50_ms": (replay["p50_us"] / 1e3, "ms"),
         "sim_latency_p99_ms": (first["p99_us"] / 1e3, "ms"),
@@ -147,9 +178,13 @@ def end_to_end(worker, seconds, gate):
         "agreed_tx_frac": (1 - failed_tx / submitted, "fraction"),
         "replica_digest_groups": (replay["digest_groups"], "count"),
     }
-    print(f"wall_s: median of {len(runs)} run_scenario calls, "
-          f"min {min(walls):.4f} s, max {max(walls):.4f} s")
-    print(f"set-up: median of {len(setup['setup_s'])} repetitions")
+    raw = [run["wall_s"] for run in runs]
+    print(f"wall_s: median of {len(runs)} run_scenario calls scaled to the reference host, "
+          f"min {min(walls):.4f} s, max {max(walls):.4f} s; unscaled median "
+          f"{statistics.median(raw):.4f} s (min {min(raw):.4f}, max {max(raw):.4f}); "
+          f"calibration kernel median {statistics.median(cal):.4f} s "
+          f"(reference {CAL_REFERENCE_S} s) over {len(cal)} passes")
+    print(f"set-up: median of {len(setup_s)} repetitions over {len(runs)} setup calls")
     print(f"latency samples: {replay['latency_samples']} confirmed transactions")
     print(f"failed_tx_frac: {failed_tx / submitted:.6f} "
           f"({never_confirmed} never confirmed, {replay['divergent_tx']} divergent "
@@ -158,10 +193,10 @@ def end_to_end(worker, seconds, gate):
 
 
 def per_layer(worker, seconds, gate):
-    setup = worker("setup", SETUP_SECONDS)
-    runs, traced = [], []
+    setups, runs, traced = [], [], []
 
     def pair():
+        setups.append(worker("setup"))
         runs.append(worker("run"))
         traced.append(worker("replay", 1))
 
@@ -181,6 +216,9 @@ def per_layer(worker, seconds, gate):
         gate.check(engine[2] == handlers,
                    f"traced replay {i}: handler time {handlers} ns != child time {engine[2]} ns")
 
+    def setup_median(name):
+        return statistics.median(t for setup in setups for t in setup[name])
+
     def span_median(name, index):
         return statistics.median(r["spans"].get(name, [0, 0, 0])[index] for r in traced)
 
@@ -196,16 +234,17 @@ def per_layer(worker, seconds, gate):
     submitted = first["submitted"]
     events = first["events"]
     executed = plain["committed"] + plain["aborted"]
-    failed_tx = submitted - first["confirmed"] + plain["divergent_tx"]
+    never_confirmed = submitted - first["confirmed"]
+    failed_tx = never_confirmed + plain["divergent_tx"]
     untraced_wall = statistics.median(r["wall_s"] for r in runs)
     traced_wall = statistics.median(r["wall_s"] for r in traced)
     engine_self_ns = statistics.median(
         r["spans"]["sim.run_until"][1] - r["spans"]["sim.run_until"][2] for r in traced)
     deliver_execs = statistics.median(r["deliver_execs"] for r in traced)
     metrics = {
-        "lab.lower_ms": (statistics.median(setup["lab.lower_ms"]), "ms"),
-        "workload.generate_ms": (statistics.median(setup["workload.generate_ms"]), "ms"),
-        "core.build_ms": (statistics.median(setup["core.build_ms"]), "ms"),
+        "lab.lower_ms": (setup_median("lab.lower_ms"), "ms"),
+        "workload.generate_ms": (setup_median("workload.generate_ms"), "ms"),
+        "core.build_ms": (setup_median("core.build_ms"), "ms"),
         "sim.events": (events, "count"),
         "sim.events_per_s": (events / untraced_wall, "1/s"),
         "sim.engine_self_ms": (engine_self_ns / 1e6, "ms"),
@@ -241,7 +280,7 @@ def per_layer(worker, seconds, gate):
     print(f"traced replays: {len(traced)}, untraced run_scenario calls: {len(runs)}")
     print(f"engine self time = sim.run_until total - handler time inside it; "
           f"traced wall {traced_wall:.4f} s vs untraced {untraced_wall:.4f} s")
-    return metrics, len(runs) * submitted, len(runs) * (submitted - first["confirmed"])
+    return metrics, len(runs) * submitted, len(runs) * never_confirmed
 
 
 def main():

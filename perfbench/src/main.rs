@@ -2,23 +2,30 @@
 //! process per measurement and reads the JSON object it prints last:
 //!
 //! ```text
-//! orthrus-perfbench setup  <spec.orth> <seed> <seconds>
+//! orthrus-perfbench setup  <spec.orth> <seed>
 //! orthrus-perfbench run    <spec.orth> <seed>
 //! orthrus-perfbench replay <spec.orth> <seed> <traced: 0|1>
+//! orthrus-perfbench calibrate
 //! ```
 //!
 //! * `setup` times the set-up path `parse` + `Spec::lower` +
-//!   `Scenario::validate` + `build_simulation`, and the same work split by
-//!   layer, repeating both for `seconds` and at least `MIN_SETUP_REPS` times.
+//!   `Scenario::validate` + `build_simulation`, and splits it by layer,
+//!   repeating it for `SETUP_SECONDS` and at least `MIN_SETUP_REPS` times.
+//!   `run.py` calls it once per measured run, so the repetitions are spread
+//!   over the whole measurement.
 //! * `run` times one `run_scenario` call, the call the CLI makes per point,
 //!   and reports the peak resident set of this process.
-//! * `replay` rebuilds the same scenario from public parts, optionally wraps
-//!   every actor in a timing actor, drives it with the `all_confirmed` stop
-//!   loop and inspects every replica afterwards.
+//! * `replay` builds the same scenario, drives it with the `all_confirmed`
+//!   stop loop and inspects every replica afterwards. Untraced, it builds
+//!   with `build_simulation`; traced, it rebuilds the scenario from public
+//!   parts with every actor wrapped in a timing actor.
+//! * `calibrate` times one pass of a fixed reference kernel, which tells
+//!   `run.py` how fast the host is running at that moment.
 //!
 //! Only default code paths are used: the scenario carries no queue, engine
 //! or execution-mode override.
 
+mod calibrate;
 mod trace;
 
 use orthrus_core::{
@@ -33,7 +40,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-use trace::Timed;
+use trace::{Layer, Timed};
 
 type Failure = String;
 
@@ -52,8 +59,14 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &[String]) -> Result<String, Failure> {
-    let usage = "usage: orthrus-perfbench setup|run|replay <spec.orth> <seed> [seconds|traced]";
+    let usage = "usage: orthrus-perfbench setup|run|replay <spec.orth> <seed> [traced: 0|1] \
+                 | orthrus-perfbench calibrate";
     let (mode, path, seed) = match args {
+        [mode] if mode == "calibrate" => {
+            let mut out = Json::default();
+            out.float("cal_s", calibrate::time_kernel());
+            return Ok(out.finish());
+        }
         [mode, path, seed, ..] => (mode.as_str(), path, seed),
         _ => return Err(usage.into()),
     };
@@ -61,12 +74,7 @@ fn dispatch(args: &[String]) -> Result<String, Failure> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     let extra = args.get(3).map(String::as_str);
     match (mode, extra) {
-        ("setup", Some(budget)) => {
-            let budget: f64 = budget
-                .parse()
-                .map_err(|_| format!("bad seconds {budget:?}"))?;
-            setup(&text, seed, budget)
-        }
+        ("setup", None) => setup(&text, seed),
         ("run", None) => run(&text, seed),
         ("replay", Some(traced)) => replay(&text, seed, traced == "1"),
         _ => Err(usage.into()),
@@ -107,28 +115,35 @@ fn secs(start: Instant) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-const MIN_SETUP_REPS: usize = 10;
+/// Set-up is cheap and noisy, so `setup` repeats it for this long, and at
+/// least `MIN_SETUP_REPS` times, and reports every repetition.
+const SETUP_SECONDS: f64 = 0.25;
+const MIN_SETUP_REPS: usize = 3;
 
-fn setup(text: &str, seed: u64, budget_s: f64) -> Result<String, Failure> {
+fn setup(text: &str, seed: u64) -> Result<String, Failure> {
     let mut setup_s = Vec::new();
     let (mut lower_ms, mut generate_ms, mut build_ms) = (Vec::new(), Vec::new(), Vec::new());
     let begin = Instant::now();
-    while setup_s.len() < MIN_SETUP_REPS || secs(begin) < budget_s {
+    while setup_s.len() < MIN_SETUP_REPS || secs(begin) < SETUP_SECONDS {
         // The path every `orthrus run` takes before its first event.
         let start = Instant::now();
         let scenario = lower(text, seed)?;
-        let built = build_simulation(&scenario).map_err(|err| format!("build: {err}"))?;
-        setup_s.push(secs(start));
-        drop(std::hint::black_box(built));
-
-        // The same work split by layer, through the replay's own assembly.
+        let lower_s = secs(start);
         let start = Instant::now();
-        let scenario = lower(text, seed)?;
-        lower_ms.push(secs(start) * 1e3);
-        let built = assemble(&scenario, false);
-        generate_ms.push(built.generate_s * 1e3);
-        build_ms.push(built.build_s * 1e3);
+        let built = build_simulation(&scenario).map_err(|err| format!("build: {err}"))?;
+        let build_s = secs(start);
         drop(std::hint::black_box(built));
+        setup_s.push(lower_s + build_s);
+
+        // `build_simulation` generates the workload first; time that step on
+        // its own and charge the rest to genesis and actor construction.
+        let start = Instant::now();
+        let workload = Workload::generate(scenario.effective_workload());
+        let generate_s = secs(start);
+        drop(std::hint::black_box(workload));
+        lower_ms.push(lower_s * 1e3);
+        generate_ms.push(generate_s * 1e3);
+        build_ms.push((build_s - generate_s) * 1e3);
     }
     let mut out = Json::default();
     out.list("setup_s", setup_s.iter().map(ToString::to_string));
@@ -197,24 +212,11 @@ fn peak_rss_kb() -> Result<u64, Failure> {
         .ok_or_else(|| "no VmHWM line in /proc/self/status".into())
 }
 
-struct Assembled {
-    sim: Simulation<NetMessage>,
-    transactions: Vec<TxId>,
-    /// Host seconds in `Workload::generate`.
-    generate_s: f64,
-    /// Host seconds for genesis, the simulation and its actors.
-    build_s: f64,
-}
-
-/// Build the scenario's simulation from public parts, mirroring
-/// `build_simulation` step for step, with every actor optionally wrapped in
-/// a timing actor.
-fn assemble(scenario: &Scenario, traced: bool) -> Assembled {
-    let start = Instant::now();
+/// `build_simulation` rebuilt from public parts, step for step, with every
+/// actor wrapped in a timing actor. Returns the simulation and the number of
+/// transactions submitted, as `build_simulation` does.
+fn assemble(scenario: &Scenario) -> (Simulation<NetMessage>, usize) {
     let workload = Workload::generate(scenario.effective_workload());
-    let generate_s = secs(start);
-
-    let start = Instant::now();
     let mut genesis = ObjectStore::new();
     workload.install_genesis(&mut genesis);
     let network = NetworkConfig::for_kind(scenario.network);
@@ -229,11 +231,7 @@ fn assemble(scenario: &Scenario, traced: bool) -> Assembled {
         if scenario.faults.is_selfish(replica) {
             node.set_selfish(true);
         }
-        if traced {
-            sim.add_actor(NodeId::Replica(replica), Box::new(Timed(node)));
-        } else {
-            sim.add_actor(NodeId::Replica(replica), Box::new(node));
-        }
+        sim.add_actor(NodeId::Replica(replica), Box::new(Timed(node)));
     }
 
     let total = workload.transactions.len().max(1) as u64;
@@ -247,21 +245,9 @@ fn assemble(scenario: &Scenario, traced: bool) -> Assembled {
     }
     for (c, schedule) in schedules.into_iter().enumerate() {
         let client = ClientNode::new(config.clone(), schedule);
-        if traced {
-            sim.add_actor(NodeId::client(c as u64), Box::new(Timed(client)));
-        } else {
-            sim.add_actor(NodeId::client(c as u64), Box::new(client));
-        }
+        sim.add_actor(NodeId::client(c as u64), Box::new(Timed(client)));
     }
-    let build_s = secs(start);
-
-    let transactions = workload.transactions.iter().map(|tx| tx.id).collect();
-    Assembled {
-        sim,
-        transactions,
-        generate_s,
-        build_s,
-    }
+    (sim, workload.transactions.len())
 }
 
 /// `run_scenario`'s loop for `stop = all_confirmed, sim_time_limit`: one
@@ -278,7 +264,7 @@ fn drive(sim: &mut Simulation<NetMessage>, submitted: usize, budget: Duration) -
     };
     while sim.now() < deadline {
         let slice_end = (sim.now() + Duration::from_secs(1)).min(deadline);
-        last = trace::parent_span("sim.run_until", || sim.run_until(slice_end));
+        last = trace::parent_span(Layer::RunUntil, || sim.run_until(slice_end));
         if sim.stats().confirmed_count() >= submitted && submitted > 0 {
             break;
         }
@@ -294,14 +280,21 @@ fn drive(sim: &mut Simulation<NetMessage>, submitted: usize, budget: Duration) -
 fn replay(text: &str, seed: u64, traced: bool) -> Result<String, Failure> {
     let scenario = lower(text, seed)?;
     let start = Instant::now();
-    let Assembled {
-        mut sim,
-        transactions,
-        ..
-    } = assemble(&scenario, traced);
-    let report = drive(&mut sim, transactions.len(), scenario.max_sim_time);
+    let (mut sim, submitted) = if traced {
+        assemble(&scenario)
+    } else {
+        build_simulation(&scenario).map_err(|err| format!("build: {err}"))?
+    };
+    let report = drive(&mut sim, submitted, scenario.max_sim_time);
     let wall_s = secs(start);
     let spans = trace::take();
+    // The workload is a pure function of the scenario; regenerate it for the
+    // transaction ids the divergence check needs.
+    let transactions: Vec<TxId> = Workload::generate(scenario.effective_workload())
+        .transactions
+        .iter()
+        .map(|tx| tx.id)
+        .collect();
 
     let n = scenario.config.num_replicas;
     let replicas: Vec<(ReplicaId, &ReplicaNode)> = (0..n)
@@ -387,9 +380,10 @@ fn replay(text: &str, seed: u64, traced: bool) -> Result<String, Failure> {
     out.num("recovered_at_us", recovered_at_us);
     if traced {
         let mut body = Json::default();
-        for (name, span) in &spans.spans {
+        for layer in Layer::ALL {
+            let span = spans.get(layer);
             let triple = format!("[{},{},{}]", span.count, span.total_ns, span.child_ns);
-            body.raw(name, triple);
+            body.raw(layer.name(), triple);
         }
         out.raw("spans", body.finish());
         out.num("deliver_execs", spans.deliver_execs);

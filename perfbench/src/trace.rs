@@ -6,13 +6,61 @@
 //! per name as count, total and child time, so a span's self time is its
 //! total minus the handler time recorded inside it. Nothing is written until
 //! the run ends.
+//!
+//! The table is a fixed array indexed by [`Layer`], so the bookkeeping done
+//! outside the timed windows (and so charged to the engine's self time) is a
+//! handful of field updates per handler call.
 
 use orthrus_core::{ClientNode, NetMessage, ReplicaNode};
 use orthrus_sim::{Actor, Context, NodeId};
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Every span name the trace records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    RunUntil,
+    CoreStart,
+    CoreTimer,
+    ClientRequest,
+    Deliver,
+    Vote,
+    Recovery,
+    StrayReply,
+    ClientSubmit,
+    ClientReply,
+}
+
+impl Layer {
+    pub const ALL: [Layer; 10] = [
+        Layer::RunUntil,
+        Layer::CoreStart,
+        Layer::CoreTimer,
+        Layer::ClientRequest,
+        Layer::Deliver,
+        Layer::Vote,
+        Layer::Recovery,
+        Layer::StrayReply,
+        Layer::ClientSubmit,
+        Layer::ClientReply,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Layer::RunUntil => "sim.run_until",
+            Layer::CoreStart => "core.start",
+            Layer::CoreTimer => "core.timer",
+            Layer::ClientRequest => "core.client_request",
+            Layer::Deliver => "core.deliver",
+            Layer::Vote => "sb.vote",
+            Layer::Recovery => "core.recovery",
+            Layer::StrayReply => "core.stray_reply",
+            Layer::ClientSubmit => "client.submit",
+            Layer::ClientReply => "client.reply",
+        }
+    }
+}
 
 /// Aggregate of every span with one name.
 #[derive(Debug, Default, Clone, Copy)]
@@ -24,11 +72,17 @@ pub struct Span {
 
 #[derive(Debug, Default)]
 pub struct Spans {
-    pub spans: BTreeMap<&'static str, Span>,
+    spans: [Span; Layer::ALL.len()],
     /// Transactions executed inside `core.deliver` spans.
     pub deliver_execs: u64,
     /// Handler time recorded since the enclosing parent span opened.
     open_child_ns: u64,
+}
+
+impl Spans {
+    pub fn get(&self, layer: Layer) -> Span {
+        self.spans[layer as usize]
+    }
 }
 
 thread_local! {
@@ -37,11 +91,11 @@ thread_local! {
     static SPANS: RefCell<Spans> = RefCell::new(Spans::default());
 }
 
-fn record_child(name: &'static str, ns: u64) {
+fn record_child(layer: Layer, ns: u64) {
     SPANS.with(|cell| {
         let mut spans = cell.borrow_mut();
         spans.open_child_ns += ns;
-        let span = spans.spans.entry(name).or_default();
+        let span = &mut spans.spans[layer as usize];
         span.count += 1;
         span.total_ns += ns;
     });
@@ -49,7 +103,7 @@ fn record_child(name: &'static str, ns: u64) {
 
 /// Time `body` as a parent span: the handler spans recorded while it runs
 /// become its children.
-pub fn parent_span<T>(name: &'static str, body: impl FnOnce() -> T) -> T {
+pub fn parent_span<T>(layer: Layer, body: impl FnOnce() -> T) -> T {
     SPANS.with(|cell| cell.borrow_mut().open_child_ns = 0);
     let start = Instant::now();
     let out = body();
@@ -57,7 +111,7 @@ pub fn parent_span<T>(name: &'static str, body: impl FnOnce() -> T) -> T {
     SPANS.with(|cell| {
         let mut spans = cell.borrow_mut();
         let child_ns = std::mem::take(&mut spans.open_child_ns);
-        let span = spans.spans.entry(name).or_default();
+        let span = &mut spans.spans[layer as usize];
         span.count += 1;
         span.total_ns += ns;
         span.child_ns += child_ns;
@@ -74,37 +128,35 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// How a wrapped node's handler calls map onto layer span names.
+/// How a wrapped node's handler calls map onto layers.
 pub trait Layered: Actor<NetMessage> {
-    fn start_span(&self) -> &'static str;
-    fn timer_span(&self) -> &'static str;
-    fn message_span(&self, msg: &NetMessage) -> &'static str;
-    /// `(blocks delivered, transactions executed)` so far; only replicas
-    /// deliver blocks.
-    fn progress(&self) -> (u64, u64) {
-        (0, 0)
-    }
+    fn start_span(&self) -> Layer;
+    fn timer_span(&self) -> Layer;
+    /// The layer a message enters, or `None` for a `Consensus` message,
+    /// which is a deliver or a vote depending on what the handler did.
+    fn message_span(&self, msg: &NetMessage) -> Option<Layer>;
+    /// `(blocks delivered, transactions executed)` so far; only asked of a
+    /// node whose `message_span` returned `None`.
+    fn progress(&self) -> (u64, u64);
 }
 
-/// Span name for a `Consensus` handler before it is known whether it
-/// delivered a block (`core.deliver`) or was only a vote (`sb.vote`).
-const CONSENSUS: &str = "sb.consensus";
-
 impl Layered for ReplicaNode {
-    fn start_span(&self) -> &'static str {
-        "core.start"
+    fn start_span(&self) -> Layer {
+        Layer::CoreStart
     }
 
-    fn timer_span(&self) -> &'static str {
-        "core.timer"
+    fn timer_span(&self) -> Layer {
+        Layer::CoreTimer
     }
 
-    fn message_span(&self, msg: &NetMessage) -> &'static str {
+    fn message_span(&self, msg: &NetMessage) -> Option<Layer> {
         match msg {
-            NetMessage::ClientRequest { .. } => "core.client_request",
-            NetMessage::Consensus { .. } => CONSENSUS,
-            NetMessage::StateRequest { .. } | NetMessage::StateTransfer { .. } => "core.recovery",
-            NetMessage::ClientReply { .. } => "core.stray_reply",
+            NetMessage::ClientRequest { .. } => Some(Layer::ClientRequest),
+            NetMessage::Consensus { .. } => None,
+            NetMessage::StateRequest { .. } | NetMessage::StateTransfer { .. } => {
+                Some(Layer::Recovery)
+            }
+            NetMessage::ClientReply { .. } => Some(Layer::StrayReply),
         }
     }
 
@@ -118,16 +170,20 @@ impl Layered for ReplicaNode {
 }
 
 impl Layered for ClientNode {
-    fn start_span(&self) -> &'static str {
-        "client.submit"
+    fn start_span(&self) -> Layer {
+        Layer::ClientSubmit
     }
 
-    fn timer_span(&self) -> &'static str {
-        "client.submit"
+    fn timer_span(&self) -> Layer {
+        Layer::ClientSubmit
     }
 
-    fn message_span(&self, _msg: &NetMessage) -> &'static str {
-        "client.reply"
+    fn message_span(&self, _msg: &NetMessage) -> Option<Layer> {
+        Some(Layer::ClientReply)
+    }
+
+    fn progress(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 
@@ -144,11 +200,10 @@ impl<A: Layered> Actor<NetMessage> for Timed<A> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: NetMessage, ctx: &mut Context<'_, NetMessage>) {
-        let name = self.0.message_span(&msg);
-        if name != CONSENSUS {
+        if let Some(layer) = self.0.message_span(&msg) {
             let start = Instant::now();
             self.0.on_message(from, msg, ctx);
-            record_child(name, elapsed_ns(start));
+            record_child(layer, elapsed_ns(start));
             return;
         }
         let (blocks_before, executed_before) = self.0.progress();
@@ -157,10 +212,10 @@ impl<A: Layered> Actor<NetMessage> for Timed<A> {
         let ns = elapsed_ns(start);
         let (blocks_after, executed_after) = self.0.progress();
         if blocks_after > blocks_before {
-            record_child("core.deliver", ns);
+            record_child(Layer::Deliver, ns);
             SPANS.with(|cell| cell.borrow_mut().deliver_execs += executed_after - executed_before);
         } else {
-            record_child("sb.vote", ns);
+            record_child(Layer::Vote, ns);
         }
     }
 
@@ -173,7 +228,7 @@ impl<A: Layered> Actor<NetMessage> for Timed<A> {
     fn on_recover(&mut self, ctx: &mut Context<'_, NetMessage>) {
         let start = Instant::now();
         self.0.on_recover(ctx);
-        record_child("core.recovery", elapsed_ns(start));
+        record_child(Layer::Recovery, elapsed_ns(start));
     }
 
     fn as_any(&self) -> &dyn Any {
