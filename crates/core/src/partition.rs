@@ -55,9 +55,12 @@ impl Partitioner {
 
 /// A bucket of pending transactions for one SB instance.
 ///
-/// Backups treat the bucket as append-only; the instance's leader pulls
-/// batches from the front. Delivered transactions are removed everywhere so
-/// that a new leader (after a view change) does not re-propose them.
+/// The instance's leader pulls batches from the front. Backups never pull a
+/// batch, so their bucket would keep every relayed transaction; instead
+/// [`Bucket::has_pending`], called after each delivered block, drops the
+/// delivered prefix. Delivered transactions are removed everywhere so that
+/// a new leader (after a view change) does not re-propose them, and their
+/// ids stay in the delivered set so a late relay cannot re-queue them.
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
     queue: VecDeque<SharedTx>,
@@ -71,12 +74,16 @@ impl Bucket {
         Self::default()
     }
 
-    /// Number of pending transactions.
+    /// Number of queued entries. Delivered transactions still count until
+    /// `pull` or `has_pending` drops them, so this is an upper bound on the
+    /// undelivered ones.
     pub fn len(&self) -> usize {
         self.queue.len()
     }
 
-    /// Is the bucket empty?
+    /// Is the queue empty? Like [`Bucket::len`] this counts delivered
+    /// entries that have not been dropped yet, so `false` does not imply an
+    /// undelivered transaction is left; ask [`Bucket::has_pending`] for that.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
@@ -133,8 +140,19 @@ impl Bucket {
     }
 
     /// Does the bucket still hold undelivered transactions?
-    pub fn has_pending(&self) -> bool {
-        self.queue.iter().any(|tx| !self.delivered.contains(&tx.id))
+    ///
+    /// Drops the delivered prefix first, so the front is then undelivered
+    /// and the answer is whether anything is left. Every entry is dropped at
+    /// most once, which makes the call amortised O(1) per delivery.
+    pub fn has_pending(&mut self) -> bool {
+        while let Some(tx) = self.queue.front() {
+            if !self.delivered.contains(&tx.id) {
+                break;
+            }
+            self.known.remove(&tx.id);
+            self.queue.pop_front();
+        }
+        !self.queue.is_empty()
     }
 }
 
@@ -271,5 +289,56 @@ mod tests {
         // And cannot be re-added.
         assert!(!bucket.push(tx(1, 0)));
         assert!(!bucket.has_pending());
+    }
+
+    #[test]
+    fn out_of_order_delivery_keeps_pending_until_the_front_is_delivered() {
+        let mut bucket = Bucket::new();
+        for i in 0..3 {
+            bucket.push(tx(1, i));
+        }
+        bucket.mark_delivered(TxId::new(ClientId::new(1), 1));
+        bucket.mark_delivered(TxId::new(ClientId::new(1), 2));
+        // Seq 0 is undelivered and sits in front of the delivered ones.
+        assert!(bucket.has_pending());
+        assert_eq!(bucket.len(), 3);
+        bucket.mark_delivered(TxId::new(ClientId::new(1), 0));
+        assert!(!bucket.has_pending());
+        assert!(bucket.is_empty());
+    }
+
+    #[test]
+    fn delivered_prefix_is_trimmed_and_stays_rejected() {
+        let mut bucket = Bucket::new();
+        for i in 0..5 {
+            bucket.push(tx(1, i));
+        }
+        for i in 0..3 {
+            bucket.mark_delivered(TxId::new(ClientId::new(1), i));
+        }
+        assert!(bucket.has_pending());
+        // Only the undelivered suffix is still queued.
+        assert_eq!(bucket.len(), 2);
+        assert!(!bucket.push(tx(1, 0)));
+        assert_eq!(bucket.len(), 2);
+    }
+
+    #[test]
+    fn pull_after_trim_keeps_skipped_order() {
+        let mut bucket = Bucket::new();
+        for i in 0..6 {
+            bucket.push(tx(1, i));
+        }
+        for i in [0, 1, 4] {
+            bucket.mark_delivered(TxId::new(ClientId::new(1), i));
+        }
+        assert!(bucket.has_pending());
+        // Seq 4 is delivered but stays queued behind the undelivered seq 2.
+        assert_eq!(bucket.len(), 4);
+        let pulled = bucket.pull(10, |t| t.id.seq == 5);
+        assert_eq!(pulled.len(), 1);
+        assert_eq!(pulled[0].id.seq, 5);
+        let rest: Vec<u64> = bucket.pull(10, |_| true).iter().map(|t| t.id.seq).collect();
+        assert_eq!(rest, vec![2, 3]);
     }
 }
